@@ -23,9 +23,6 @@
 //! - `--deadline-secs <s>`: per-cell wall-clock watchdog.
 //! - `--retries <n>`: per-cell retries for retryable failures (default 1,
 //!   hard-capped at 3).
-//! - `--engine <legacy|block>`: retire loop for every cell (default
-//!   `block`, the pre-decoded basic-block engine; both produce identical
-//!   tables — see `tests/engine_differential.rs`).
 //! - `--fusion`: arm the macro-op fusion pass as a third scenario axis
 //!   (workload x compiler x ISA x fusion): every cell additionally
 //!   reports per-pair-kind fusion counts and the effective (fused)
@@ -73,11 +70,10 @@ use std::sync::{Arc, Mutex};
 
 use bench::cli;
 use isacmp::{
-    compile, continue_matrix, durable, read_journal, resume_matrix_journaled, run_cell,
-    run_matrix_journaled, run_matrix_opts, run_pipeline, run_pipeline_full, shutdown,
-    CacheConfig, CampaignManifest, CellJournal, ExperimentCell,
-    IsaKind, JournalContents, MatrixOptions, Personality, PipelineConfig, ResultMatrix,
-    SizeClass, Workload,
+    compile, continue_matrix, durable, read_journal, resume_matrix, run_cell, run_matrix_opts,
+    run_pipeline, shutdown, CacheConfig, CampaignManifest, CellJournal, ExperimentCell, IsaKind,
+    JournalContents, MatrixOptions, Personality, PipelineConfig, PipelineOptions, PipelineStats,
+    ResultMatrix, SizeClass, Workload,
 };
 
 /// Where matrix runs journal completed cells for crash recovery. Fused
@@ -144,8 +140,8 @@ fn parse_matrix_opts(args: &[String]) -> (MatrixOptions, Option<CampaignManifest
         trace_dir: flags.trace_dir,
         heed_shutdown: true,
         checkpoint_dir,
-        engine: flags.engine,
         fusion: flags.fusion,
+        journal: None,
     };
     (opts, campaign_manifest)
 }
@@ -213,7 +209,8 @@ fn matrix(
                 total.saturating_sub(done),
             );
             let journal = open_journal(jpath, || CellJournal::append_to(Path::new(jpath)));
-            continue_matrix(&Workload::ALL, size, opts, &j.matrix, journal.as_ref())
+            let opts = MatrixOptions { journal, ..opts.clone() };
+            continue_matrix(&Workload::ALL, size, &opts, &j.matrix)
         }
         Some(ResumeSource::Matrix(prior)) => {
             eprintln!(
@@ -230,14 +227,16 @@ fn matrix(
                 }
                 Ok(j)
             });
-            resume_matrix_journaled(prior, size, opts, journal.as_ref())
+            let opts = MatrixOptions { journal, ..opts.clone() };
+            resume_matrix(prior, size, &opts)
         }
         None => {
             eprintln!("running the experiment matrix (5 workloads x 2 compilers x 2 ISAs) ...");
             let journal = open_journal(jpath, || {
                 CellJournal::create(Path::new(jpath), size.name(), manifest)
             });
-            run_matrix_journaled(&Workload::ALL, size, opts, journal.as_ref())
+            let opts = MatrixOptions { journal, ..opts.clone() };
+            run_matrix_opts(&Workload::ALL, size, &opts)
         }
     };
     if !m.is_complete() {
@@ -400,20 +399,23 @@ fn pipeline(size: SizeClass) -> String {
         "workload", "isa", "in-order(A55)", "OoO(TX2)", "OoO(Firestorm)", "OoO(TX2)+L1D"
     ));
     let p = Personality::gcc122();
+    let tx2_l1d = PipelineOptions {
+        dcache: Some((CacheConfig::l1d_32k(), 100)),
+        ..PipelineOptions::new(PipelineConfig::tx2(), true)
+    };
     for w in Workload::ALL {
         for isa in [IsaKind::AArch64, IsaKind::RiscV] {
-            let ino = run_pipeline(w, isa, &p, size, PipelineConfig::a55(), false);
-            let tx2 = run_pipeline(w, isa, &p, size, PipelineConfig::tx2(), true);
-            let fs = run_pipeline(w, isa, &p, size, PipelineConfig::firestorm(), true);
-            let cached = run_pipeline_full(
-                w,
-                isa,
-                &p,
-                size,
-                PipelineConfig::tx2(),
-                true,
-                Some((CacheConfig::l1d_32k(), 100)),
-            );
+            let run = |opts: &PipelineOptions| -> PipelineStats {
+                run_pipeline(w, isa, &p, size, opts).map(|(_, stats)| stats).unwrap_or_else(|e| {
+                    let isa = isacmp::isa_label(isa);
+                    eprintln!("ERR({}) pipeline {} on {isa}: {e}", e.kind(), w.name());
+                    std::process::exit(1);
+                })
+            };
+            let ino = run(&PipelineOptions::new(PipelineConfig::a55(), false));
+            let tx2 = run(&PipelineOptions::new(PipelineConfig::tx2(), true));
+            let fs = run(&PipelineOptions::new(PipelineConfig::firestorm(), true));
+            let cached = run(&tx2_l1d);
             out.push_str(&format!(
                 "{:<12} {:<8} {:>14} {:>14} {:>15} {:>14}\n",
                 w.name(),

@@ -95,10 +95,10 @@ fn fmt_record(i: u64, ri: &RetiredInst) -> String {
     let regs = |set: &RegSet| -> String {
         set.iter().map(|r| r.to_string()).collect::<Vec<_>>().join(",")
     };
-    if ri.srcs.len() > 0 {
+    if !ri.srcs.is_empty() {
         s.push_str(&format!("  src {}", regs(&ri.srcs)));
     }
-    if ri.dsts.len() > 0 {
+    if !ri.dsts.is_empty() {
         s.push_str(&format!("  dst {}", regs(&ri.dsts)));
     }
     for a in ri.mem_reads.iter() {
@@ -113,7 +113,7 @@ fn fmt_record(i: u64, ri: &RetiredInst) -> String {
 fn dump(path: &str, limit: u64) {
     let reader = open(path);
     print_header(path, &reader);
-    println!("{:>10}  {:<12}  {}", "index", "pc", "group");
+    println!("{:>10}  {:<12}  group", "index", "pc");
     let mut shown = 0u64;
     for (i, rec) in reader.enumerate() {
         match rec {

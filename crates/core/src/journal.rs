@@ -39,6 +39,7 @@ use crate::campaign::CampaignManifest;
 pub const JOURNAL_SCHEMA: u64 = 1;
 
 /// Append-only, fsync-per-record writer for matrix cell outcomes.
+#[derive(Debug)]
 pub struct CellJournal {
     log: DurableLog,
 }

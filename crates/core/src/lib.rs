@@ -28,7 +28,7 @@
 //! # Fault tolerance
 //!
 //! [`run_cell`] returns a typed [`CellError`] instead of panicking, and
-//! [`run_matrix`] degrades gracefully: a failed cell becomes an
+//! [`run_matrix_opts`] degrades gracefully: a failed cell becomes an
 //! `ERR(<kind>)` entry in a partial [`ResultMatrix`] while the other cells
 //! still measure. [`CellOptions`]/[`MatrixOptions`] add per-cell wall-clock
 //! watchdogs, bounded retries, and deterministic fault injection
@@ -94,21 +94,10 @@ fn cell_label(workload: Workload, isa: IsaKind, personality: &Personality) -> St
 /// non-zero exits all come back as a [`CellError`] instead of a panic.
 ///
 /// `deadline` attaches a wall-clock watchdog; `fault` injects a
-/// deterministic [`FaultPlan`] into the run.
-pub fn try_execute(
-    compiled: &Compiled,
-    observers: &mut [&mut dyn Observer],
-    deadline: Option<std::time::Duration>,
-    fault: Option<&FaultPlan>,
-) -> Result<(CpuState, RunStats), CellError> {
-    let injector: Option<Box<dyn FaultInjector>> =
-        fault.map(|p| Box::new(p.clone()) as Box<dyn FaultInjector>);
-    try_execute_with(compiled, observers, deadline, injector)
-}
-
-/// [`try_execute`] with an explicit retire-loop [`Engine`] — the knob the
-/// bench tools and the differential conformance suite use to pit the
-/// legacy and block engines against each other on identical cells.
+/// deterministic [`FaultPlan`] into the run. `engine` picks how the
+/// retire loop is fuelled — [`Engine::default()`] everywhere except the
+/// bench tools and the differential conformance suite, which pit the
+/// stepwise reference against the block engine on identical cells.
 pub fn try_execute_engine(
     compiled: &Compiled,
     observers: &mut [&mut dyn Observer],
@@ -122,19 +111,7 @@ pub fn try_execute_engine(
         .map_err(|(e, _)| e)
 }
 
-/// [`try_execute`] with an arbitrary [`FaultInjector`] (e.g. a whole
-/// [`Campaign`]) instead of a single plan.
-pub fn try_execute_with(
-    compiled: &Compiled,
-    observers: &mut [&mut dyn Observer],
-    deadline: Option<std::time::Duration>,
-    injector: Option<Box<dyn FaultInjector>>,
-) -> Result<(CpuState, RunStats), CellError> {
-    try_execute_inner(compiled, observers, deadline, injector, false, Engine::default())
-        .map_err(|(e, _)| e)
-}
-
-/// The execution engine behind [`try_execute_with`]: same typed errors,
+/// The execution engine behind [`try_execute_engine`]: same typed errors,
 /// but the failing machine state rides along with the error so callers
 /// can snapshot it (watchdog-trip checkpoints need the state the guest
 /// died in, not a fresh one).
@@ -204,13 +181,14 @@ fn try_execute_inner(
 /// Execute a compiled program, streaming retirements through `observers`.
 ///
 /// Returns the final CPU state and run statistics. Convenience wrapper
-/// around [`try_execute`]: panics if the guest cannot load, faults, or
-/// exits non-zero — tools that need to survive those use [`try_execute`].
+/// around [`try_execute_engine`]: panics if the guest cannot load, faults,
+/// or exits non-zero — tools that need to survive those use
+/// [`try_execute_engine`].
 pub fn execute(
     compiled: &Compiled,
     observers: &mut [&mut dyn Observer],
 ) -> (CpuState, RunStats) {
-    try_execute(compiled, observers, None, None)
+    try_execute_engine(compiled, observers, None, None, Engine::default())
         .unwrap_or_else(|e| panic!("execute({}): {e}", compiled.program.isa))
 }
 
@@ -309,7 +287,14 @@ fn run_cell_attempt(
         let injector: Option<Box<dyn FaultInjector>> =
             armed.as_ref().map(|c| Box::new(c.clone()) as Box<dyn FaultInjector>);
         let emu_start = std::time::Instant::now();
-        let run = try_execute_inner(&compiled, &mut obs, opts.deadline, injector, opts.heed_shutdown, opts.engine)
+        let run = try_execute_inner(
+            &compiled,
+            &mut obs,
+            opts.deadline,
+            injector,
+            opts.heed_shutdown,
+            Engine::default(),
+        )
             .map_err(|(e, st)| {
                 // A watchdog-tripped cell leaves a resumable snapshot behind:
                 // the state it died in plus the armed schedule, so the slow
@@ -372,11 +357,8 @@ fn run_cell_attempt(
                 &format!("cell_mips:{}", cell_label(workload, isa, personality)),
                 stats.host_mips(),
             );
-            if stats.retired > 0 {
-                tel.histogram_record(
-                    "host_ns_per_op",
-                    stats.wall.as_nanos() as u64 / stats.retired,
-                );
+            if let Some(ns_per_op) = (stats.wall.as_nanos() as u64).checked_div(stats.retired) {
+                tel.histogram_record("host_ns_per_op", ns_per_op);
             }
             for (name, ns) in stats.phases.entries() {
                 if ns > 0 {
@@ -555,28 +537,33 @@ pub fn run_cell(
     run_cell_opts(workload, isa, personality, size, &CellOptions::default())
 }
 
-/// Run the paper's full experiment matrix: all five workloads x
-/// {GCC 9.2, GCC 12.2} x {AArch64, RISC-V}, cells in parallel on the
-/// process-wide work-stealing shard pool ([`pool::global`]). Failed cells
-/// degrade to [`ResultMatrix::failures`] entries; the other cells still
-/// measure.
-pub fn run_matrix(size: SizeClass) -> ResultMatrix {
-    run_matrix_for(&Workload::ALL, size)
-}
-
-/// Run the matrix for a subset of workloads.
-pub fn run_matrix_for(workloads: &[Workload], size: SizeClass) -> ResultMatrix {
-    run_matrix_opts(workloads, size, &MatrixOptions::default())
-}
-
-/// Run the matrix with fault-tolerance options (per-cell deadline,
-/// retries, targeted fault injection).
+/// Run the paper's experiment matrix for `workloads` (all five:
+/// [`Workload::ALL`]) x {GCC 9.2, GCC 12.2} x {AArch64, RISC-V}, cells in
+/// parallel on the process-wide work-stealing shard pool
+/// ([`pool::global`]). Failed cells degrade to [`ResultMatrix::failures`]
+/// entries; the other cells still measure.
+///
+/// With `opts.journal` attached, each cell's outcome is durably appended
+/// as it completes, before the worker moves on, so a SIGKILL mid-matrix
+/// loses at most the cells still in flight. When `opts.heed_shutdown` is
+/// set, SIGINT/SIGTERM drains the worker pool gracefully: unstarted
+/// combos are skipped (the returned matrix simply lacks them) and
+/// interrupted cells are neither recorded nor journaled.
 pub fn run_matrix_opts(
     workloads: &[Workload],
     size: SizeClass,
     opts: &MatrixOptions,
 ) -> ResultMatrix {
-    run_matrix_journaled(workloads, size, opts, None)
+    let _span = telemetry::global().enter("matrix");
+    let combos = matrix_combos(workloads);
+    let outcomes = run_combos(&combos, size, opts);
+    let mut matrix = ResultMatrix::default();
+    for ((w, p, isa), outcome) in combos.iter().zip(outcomes) {
+        if let Some(outcome) = outcome {
+            record_outcome(&mut matrix, w.name(), p.label(), isa_label(*isa), outcome, opts.retries);
+        }
+    }
+    matrix
 }
 
 /// The paper's canonical cell order: workloads x {GCC 9.2, GCC 12.2} x
@@ -597,52 +584,24 @@ pub fn matrix_combos(workloads: &[Workload]) -> Vec<(Workload, Personality, IsaK
         .collect()
 }
 
-/// [`run_matrix_opts`] with a crash-safe [`CellJournal`]: each cell's
-/// outcome is durably appended as it completes, before the worker moves
-/// on, so a SIGKILL mid-matrix loses at most the cells still in flight.
-/// When `opts.heed_shutdown` is set, SIGINT/SIGTERM drains the worker
-/// pool gracefully: unstarted combos are skipped (returned matrix simply
-/// lacks them) and interrupted cells are neither recorded nor journaled.
-///
-/// The journal rides in an `Arc` because cells run as `'static` tasks on
-/// the process-wide [`pool::global`] shard pool (shared with the daemon),
-/// not on a scoped per-call pool.
-pub fn run_matrix_journaled(
-    workloads: &[Workload],
-    size: SizeClass,
-    opts: &MatrixOptions,
-    journal: Option<&std::sync::Arc<std::sync::Mutex<CellJournal>>>,
-) -> ResultMatrix {
-    let _span = telemetry::global().enter("matrix");
-    let combos = matrix_combos(workloads);
-    let outcomes = run_combos(&combos, size, opts, journal);
-    let mut matrix = ResultMatrix::default();
-    for ((w, p, isa), outcome) in combos.iter().zip(outcomes) {
-        if let Some(outcome) = outcome {
-            record_outcome(&mut matrix, w.name(), p.label(), isa_label(*isa), outcome, opts.retries);
-        }
-    }
-    matrix
-}
-
 /// Run a set of combinations on the shared shard pool, journaling each
-/// outcome as it completes. `None` slots are combos never started because
-/// a shutdown was requested. Tasks own everything they touch (combos are
-/// `Copy`, options are cloned per cell, the journal is `Arc`-shared), so
-/// they can outlive this stack frame on the persistent pool — though
-/// `run_batch` in fact blocks until every slot resolves.
+/// outcome to `opts.journal` as it completes. `None` slots are combos
+/// never started because a shutdown was requested. Cells run as
+/// `'static` tasks on the process-wide [`pool::global`] shard pool (shared
+/// with the daemon), so tasks own everything they touch (combos are
+/// `Copy`, options are cloned per cell, the journal is `Arc`-shared) —
+/// though `run_batch` in fact blocks until every slot resolves.
 #[allow(clippy::type_complexity)]
 fn run_combos(
     combos: &[(Workload, Personality, IsaKind)],
     size: SizeClass,
     opts: &MatrixOptions,
-    journal: Option<&std::sync::Arc<std::sync::Mutex<CellJournal>>>,
 ) -> Vec<Option<Result<Result<ExperimentCell, CellError>, String>>> {
     let tasks: Vec<Box<dyn FnOnce() -> Result<ExperimentCell, CellError> + Send>> = combos
         .iter()
         .map(|&(w, p, isa)| {
             let cell_opts = opts.cell_options(w.name(), p.label(), isa_label(isa));
-            let journal = journal.cloned();
+            let journal = opts.journal.clone();
             let retries = opts.retries;
             Box::new(move || {
                 let outcome = run_cell_opts(w, isa, &p, size, &cell_opts);
@@ -753,19 +712,10 @@ fn combo_for(workload: &str, compiler: &str, isa: &str) -> Option<(Workload, Per
 ///
 /// Telemetry counters: `cells_skipped` (prior healthy cells kept) and
 /// `cells_resumed` (failed cells re-run).
+///
+/// Kept prior cells are the caller's to seed into `opts.journal` (see
+/// `make_tables`); the re-run cells are journaled as they complete.
 pub fn resume_matrix(prior: &ResultMatrix, size: SizeClass, opts: &MatrixOptions) -> ResultMatrix {
-    resume_matrix_journaled(prior, size, opts, None)
-}
-
-/// [`resume_matrix`] with a crash-safe [`CellJournal`] attached to the
-/// re-run cells (kept prior cells are the caller's to seed into the
-/// journal — see `make_tables`).
-pub fn resume_matrix_journaled(
-    prior: &ResultMatrix,
-    size: SizeClass,
-    opts: &MatrixOptions,
-    journal: Option<&std::sync::Arc<std::sync::Mutex<CellJournal>>>,
-) -> ResultMatrix {
     let tel = telemetry::global();
     let _span = tel.enter("matrix_resume");
     let mut matrix =
@@ -779,7 +729,7 @@ pub fn resume_matrix_journaled(
         }
     }
     tel.counter_add("cells_resumed", reruns.len() as u64);
-    let outcomes = run_combos(&reruns, size, opts, journal);
+    let outcomes = run_combos(&reruns, size, opts);
     for ((w, p, isa), outcome) in reruns.iter().zip(outcomes) {
         if let Some(outcome) = outcome {
             record_outcome(&mut matrix, w.name(), p.label(), isa_label(*isa), outcome, opts.retries);
@@ -806,7 +756,6 @@ pub fn continue_matrix(
     size: SizeClass,
     opts: &MatrixOptions,
     prior: &ResultMatrix,
-    journal: Option<&std::sync::Arc<std::sync::Mutex<CellJournal>>>,
 ) -> ResultMatrix {
     let tel = telemetry::global();
     let _span = tel.enter("matrix_continue");
@@ -834,7 +783,7 @@ pub fn continue_matrix(
         ],
     );
 
-    let outcomes = run_combos(&missing, size, opts, journal);
+    let outcomes = run_combos(&missing, size, opts);
     let mut fresh: std::collections::HashMap<_, _> = missing
         .iter()
         .zip(outcomes)
@@ -914,49 +863,58 @@ impl AnyPipeline {
     }
 }
 
-/// [`run_pipeline_full`] with typed errors and the same fault hooks as the
-/// emulation path: the guest is driven through `uarch::run_guest`, so a
-/// wall-clock deadline and a [`FaultInjector`] (plan or whole campaign)
-/// apply to the pipeline-timed run exactly as they do to [`try_execute`].
+/// How [`run_pipeline`] times a workload.
+#[derive(Debug, Clone)]
+pub struct PipelineOptions {
+    /// Core resources and latencies (e.g. [`PipelineConfig::tx2`]).
+    pub config: PipelineConfig,
+    /// Out-of-order core (`true`) or in-order core (`false`).
+    pub out_of_order: bool,
+    /// Optional L1D model: `(geometry, miss penalty in cycles)`; `None` is
+    /// ideal single-cycle-hit memory, the paper's assumption.
+    pub dcache: Option<(CacheConfig, u64)>,
+    /// Wall-clock watchdog for the pipeline-timed run.
+    pub deadline: Option<std::time::Duration>,
+    /// Deterministic fault to inject into the run.
+    pub fault: Option<FaultPlan>,
+}
+
+impl PipelineOptions {
+    /// `config` on ideal memory, with no watchdog and no fault.
+    pub fn new(config: PipelineConfig, out_of_order: bool) -> PipelineOptions {
+        PipelineOptions { config, out_of_order, dcache: None, deadline: None, fault: None }
+    }
+}
+
+/// Run a workload through a trace-driven pipeline model (experiment E7,
+/// the paper's Future Work), with typed errors and the same fault hooks as
+/// the emulation path: the guest is driven through `uarch::run_guest`, so
+/// a wall-clock deadline and an injected [`FaultPlan`] apply to the
+/// pipeline-timed run exactly as they do to [`try_execute_engine`].
 /// Returns the final architectural state alongside the timing stats so
 /// differential tests can compare the two paths.
-pub fn try_run_pipeline_full(
+pub fn run_pipeline(
     workload: Workload,
     isa: IsaKind,
     personality: &Personality,
     size: SizeClass,
-    config: PipelineConfig,
-    out_of_order: bool,
-    dcache: Option<(CacheConfig, u64)>,
-    deadline: Option<std::time::Duration>,
-    injector: Option<Box<dyn FaultInjector>>,
+    opts: &PipelineOptions,
 ) -> Result<(CpuState, PipelineStats), CellError> {
     let _span = telemetry::global().enter("pipeline");
     let prog = workload.build(size);
     let compiled = compile(&prog, isa, personality);
     let mut st = CpuState::new();
     compiled.program.load(&mut st).map_err(CellError::Load)?;
-    let mut core = AnyPipeline::build(config, out_of_order, dcache);
+    let mut core = AnyPipeline::build(opts.config.clone(), opts.out_of_order, opts.dcache);
+    let injector =
+        opts.fault.as_ref().map(|p| Box::new(p.clone()) as Box<dyn FaultInjector>);
+    let (observer, deadline) = (core.observer(), opts.deadline);
     let result = match compiled.program.isa {
         IsaKind::RiscV => {
-            uarch::run_guest(
-                core.observer(),
-                RiscVExecutor::new(),
-                &mut st,
-                deadline,
-                injector,
-                Engine::default(),
-            )
+            uarch::run_guest(observer, RiscVExecutor::new(), &mut st, deadline, injector)
         }
         IsaKind::AArch64 => {
-            uarch::run_guest(
-                core.observer(),
-                AArch64Executor::new(),
-                &mut st,
-                deadline,
-                injector,
-                Engine::default(),
-            )
+            uarch::run_guest(observer, AArch64Executor::new(), &mut st, deadline, injector)
         }
     };
     let stats = result.map_err(|err| {
@@ -971,37 +929,6 @@ pub fn try_run_pipeline_full(
         return Err(CellError::NonZeroExit { code: stats.exit_code });
     }
     Ok((st, core.stats()))
-}
-
-/// Run a workload through a trace-driven pipeline model (experiment E7,
-/// the paper's Future Work). `dcache` optionally attaches an L1D model:
-/// `(geometry, miss penalty in cycles)`. Convenience wrapper around
-/// [`try_run_pipeline_full`]; panics on guest failure.
-pub fn run_pipeline_full(
-    workload: Workload,
-    isa: IsaKind,
-    personality: &Personality,
-    size: SizeClass,
-    config: PipelineConfig,
-    out_of_order: bool,
-    dcache: Option<(CacheConfig, u64)>,
-) -> PipelineStats {
-    try_run_pipeline_full(workload, isa, personality, size, config, out_of_order, dcache, None, None)
-        .map(|(_, stats)| stats)
-        .unwrap_or_else(|e| panic!("run_pipeline_full({}): {e}", isa_label(isa)))
-}
-
-/// [`run_pipeline_full`] with ideal (single-cycle-hit) memory — the
-/// configuration matching the paper's assumptions.
-pub fn run_pipeline(
-    workload: Workload,
-    isa: IsaKind,
-    personality: &Personality,
-    size: SizeClass,
-    config: PipelineConfig,
-    out_of_order: bool,
-) -> PipelineStats {
-    run_pipeline_full(workload, isa, personality, size, config, out_of_order, None)
 }
 
 /// Disassemble the instructions of a named kernel region (the paper's §3.3
@@ -1064,7 +991,7 @@ mod tests {
 
     #[test]
     fn matrix_runs_one_workload() {
-        let m = run_matrix_for(&[Workload::Stream], SizeClass::Test);
+        let m = run_matrix_opts(&[Workload::Stream], SizeClass::Test, &MatrixOptions::default());
         assert_eq!(m.cells.len(), 4);
         assert!(m.is_complete(), "no failures expected: {}", m.failure_summary());
         assert!(m.get("STREAM", "gcc-9.2", "AArch64").is_some());

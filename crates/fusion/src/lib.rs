@@ -563,7 +563,7 @@ mod tests {
     fn riscv_cmp_branch_fuses_only_single_source_branches() {
         let mut bz = op(InstGroup::Branch, &[x(5)], &[]);
         bz.is_branch = true;
-        let stream = vec![op(InstGroup::IntAlu, &[x(1), x(2)], &[x(5)]), bz.clone()];
+        let stream = vec![op(InstGroup::IntAlu, &[x(1), x(2)], &[x(5)]), bz];
         let r = run(IsaKind::RiscV, &stream);
         assert_eq!(r.count(PairKind::RvCmpBranch), 1);
 
@@ -703,9 +703,9 @@ mod tests {
         let producer = op(InstGroup::Shift, &[x(1)], &[x(5)]);
         let consumer = op(InstGroup::IntAlu, &[x(2), x(5)], &[x(5)]);
         let mut pass = FusionPass::new(IsaKind::RiscV, &[]);
-        let mut a: &[RetiredInst] = &[producer.clone()];
+        let mut a: &[RetiredInst] = std::slice::from_ref(&producer);
         pass.consume(&mut a).unwrap();
-        let mut b: &[RetiredInst] = &[consumer.clone()];
+        let mut b: &[RetiredInst] = std::slice::from_ref(&consumer);
         pass.consume(&mut b).unwrap();
         let r = pass.report();
         assert_eq!(r.fused_pairs, 0, "a pair must not fuse across a stream boundary");

@@ -386,10 +386,6 @@ impl IsaExecutor for AArch64Executor {
         self.blocks.borrow_mut().clear();
     }
 
-    fn supports_blocks(&self) -> bool {
-        true
-    }
-
     fn run_block(
         &self,
         state: &mut CpuState,

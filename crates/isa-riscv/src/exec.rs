@@ -341,10 +341,6 @@ impl IsaExecutor for RiscVExecutor {
         self.blocks.borrow_mut().clear();
     }
 
-    fn supports_blocks(&self) -> bool {
-        true
-    }
-
     fn run_block(
         &self,
         state: &mut CpuState,

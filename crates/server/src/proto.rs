@@ -231,7 +231,6 @@ impl JobKind {
 pub struct JobSpec {
     pub kind: JobKind,
     pub size: SizeClass,
-    pub engine: isacmp::Engine,
     pub retries: u32,
     /// Per-cell watchdog, in (fractional) seconds.
     pub deadline_secs: Option<f64>,
@@ -251,7 +250,6 @@ impl JobSpec {
         JobSpec {
             kind: JobKind::Matrix,
             size,
-            engine: isacmp::Engine::default(),
             retries: 1,
             deadline_secs: None,
             inject: None,
@@ -261,7 +259,7 @@ impl JobSpec {
     }
 
     /// Build a spec from CLI args via the shared `bench::cli` grammar
-    /// (`--size`, `--engine`, `--retries`, `--deadline-secs`, `--inject`,
+    /// (`--size`, `--retries`, `--deadline-secs`, `--inject`,
     /// `--campaign`, `--kind`). Values are validated here, client-side,
     /// with the same parsers the daemon re-runs server-side.
     pub fn from_args(args: &[String]) -> Result<JobSpec, String> {
@@ -274,7 +272,6 @@ impl JobSpec {
         let spec = JobSpec {
             kind,
             size: flags.size,
-            engine: flags.engine,
             retries: flags.retries,
             deadline_secs: flags.deadline.map(|d| d.as_secs_f64()),
             inject: cli::flag_value(args, "--inject"),
@@ -313,12 +310,15 @@ impl JobSpec {
     /// specs hit the cache; the per-job journal file is named by a hash
     /// of this string, which is how a restarted daemon finds the records
     /// of a killed run when the same spec is resubmitted.
+    ///
+    /// The fixed `block` field is where older builds recorded the retire
+    /// engine; both engines retire identical streams, so the field is a
+    /// constant that keeps every journal file name stable.
     pub fn canonical(&self) -> String {
         let mut key = format!(
-            "v{PROTO_VERSION}:{}:{}:{}:r{}:d{}:i{}:c{}",
+            "v{PROTO_VERSION}:{}:{}:block:r{}:d{}:i{}:c{}",
             self.kind.name(),
             self.size.name(),
-            self.engine.name(),
             self.retries,
             self.deadline_secs.map(|d| d.to_string()).unwrap_or_else(|| "-".into()),
             self.inject.as_deref().unwrap_or("-"),
@@ -370,8 +370,8 @@ impl JobSpec {
                 .flatten(),
             heed_shutdown: true,
             checkpoint_dir: None,
-            engine: self.engine,
             fusion: self.fusion,
+            journal: None,
         };
         Ok((opts, manifest))
     }
@@ -380,7 +380,6 @@ impl JobSpec {
         let mut fields = vec![
             ("kind", Json::Str(self.kind.name().into())),
             ("size", Json::Str(self.size.name().into())),
-            ("engine", Json::Str(self.engine.name().into())),
             ("retries", Json::Num(self.retries as f64)),
         ];
         if let Some(d) = self.deadline_secs {
@@ -405,8 +404,14 @@ impl JobSpec {
             .map_err(|e| bad(&e))?;
         let size = cli::size_from_name(&s("size").ok_or_else(|| bad("missing size"))?)
             .map_err(|e| bad(&e))?;
-        let engine: isacmp::Engine =
-            s("engine").ok_or_else(|| bad("missing engine"))?.parse().map_err(|e: String| bad(&e))?;
+        // Older clients send the retire engine; both engines retire the
+        // same stream, so a known value is accepted and ignored.
+        match s("engine").as_deref() {
+            None | Some("legacy" | "block") => {}
+            Some(other) => {
+                return Err(bad(&format!("unknown engine {other:?} (expected legacy|block)")))
+            }
+        }
         let retries = j
             .get("retries")
             .and_then(Json::as_u64)
@@ -422,7 +427,6 @@ impl JobSpec {
         let spec = JobSpec {
             kind,
             size,
-            engine,
             retries,
             deadline_secs,
             inject: s("inject"),

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -56,8 +56,6 @@ pub struct Config {
     pub warm: Option<PathBuf>,
     /// Size class the warm artifact was measured at.
     pub warm_size: SizeClass,
-    /// Engine the warm artifact was measured with.
-    pub warm_engine: isacmp::Engine,
     /// How long `run` waits for connection threads to drain after a
     /// shutdown signal before detaching them.
     pub drain_timeout: Duration,
@@ -72,7 +70,6 @@ impl Default for Config {
             trace_dir: None,
             warm: None,
             warm_size: SizeClass::Small,
-            warm_engine: isacmp::Engine::default(),
             drain_timeout: Duration::from_secs(10),
         }
     }
@@ -100,7 +97,7 @@ impl JournalRegistry {
     fn acquire(
         &self,
         key: u64,
-        path: &PathBuf,
+        path: &Path,
         size: &str,
         manifest: Option<&isacmp::CampaignManifest>,
     ) -> Option<Arc<Mutex<CellJournal>>> {
@@ -129,7 +126,7 @@ impl JournalRegistry {
             RegistryEntry {
                 refs: 1,
                 delete_on_last: false,
-                path: path.clone(),
+                path: path.to_path_buf(),
                 journal: journal.clone(),
             },
         );
@@ -230,7 +227,7 @@ impl Server {
             let text = std::fs::read_to_string(warm)?;
             let matrix = ResultMatrix::from_json(&text)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let n = cache.warm(&matrix, cfg.warm_size.name(), cfg.warm_engine.name());
+            let n = cache.warm(&matrix, cfg.warm_size.name());
             eprintln!("isacmpd: cache warmed with {n} cell(s) from {}", warm.display());
         }
         Ok(Server {
@@ -423,9 +420,10 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
             outstanding += 1;
             continue;
         }
-        let key = CellKey::new(wn, pl, il, size.name(), spec.engine.name(), spec.fusion);
+        let key = CellKey::new(wn, pl, il, size.name(), spec.fusion);
         match state.cache.claim(&key) {
             Claim::Hit(cell) => {
+                let cell = *cell;
                 hits += 1;
                 // Journal the hit too: this job's journal is then
                 // self-contained for resume on a cold (cache-less) restart.
@@ -499,6 +497,7 @@ fn run_job(state: &Arc<State>, spec: &JobSpec, stream: &mut TcpStream) -> Result
                 }
                 Some(Err(_leader_failed)) => match state.cache.claim(&key) {
                     Claim::Hit(cell) => {
+                        let cell = *cell;
                         journal_outcome(journal.as_deref(), wn, pl, il, &Ok(cell.clone()), opts.retries);
                         slots[i] = Some(Ok(Ok(cell)));
                         done += 1;

@@ -33,7 +33,6 @@ fn client_messages_round_trip() {
     let full = JobSpec {
         kind: server::JobKind::Campaign,
         size: isacmp::SizeClass::Small,
-        engine: isacmp::Engine::Legacy,
         retries: 3,
         deadline_secs: Some(2.5),
         inject: None,
@@ -249,15 +248,34 @@ fn job_spec_canonical_is_stable_and_discriminating() {
     let mut b = a.clone();
     b.retries = 2;
     assert_ne!(a.canonical(), b.canonical());
-    let mut c = a.clone();
-    c.engine = isacmp::Engine::Legacy;
-    assert_ne!(a.canonical(), c.canonical());
     // The fusion axis must discriminate cache/journal identity, and it does
     // so with a suffix so every pre-fusion canonical string stays byte-stable.
     let mut f = a.clone();
     f.fusion = true;
     assert_ne!(a.canonical(), f.canonical());
     assert_eq!(f.canonical(), "v1:matrix:test:block:r1:d-:i-:c-:f1");
+}
+
+#[test]
+fn submit_frames_parse_with_or_without_the_dropped_engine_field() {
+    // Older clients name the retire engine in every submit; both engines
+    // retire the same stream, so all three frames are one job with one
+    // canonical key — and the journal file names hashed from it stay put.
+    let submit = |engine: &str| {
+        let job = format!(r#"{{"kind":"matrix","size":"test"{engine},"retries":1}}"#);
+        let frame = format!(r#"{{"type":"submit","proto":{PROTO_VERSION},"job":{job}}}"#);
+        let bytes = frame_bytes(&isacmp::telemetry::Json::parse(&frame).expect("valid json"));
+        ClientMsg::from_json(&read_frame(&mut Cursor::new(bytes)).expect("readable frame"))
+    };
+    let canonical = |engine: &str| match submit(engine) {
+        Ok(ClientMsg::Submit { job }) => job.canonical(),
+        other => panic!("engine field {engine:?} must parse as a submit: {other:?}"),
+    };
+    for engine in [r#","engine":"legacy""#, r#","engine":"block""#, ""] {
+        assert_eq!(canonical(engine), "v1:matrix:test:block:r1:d-:i-:c-", "engine {engine:?}");
+    }
+    let err = submit(r#","engine":"warp""#).expect_err("unknown engine is refused");
+    assert!(matches!(err, ProtoError::BadFrame(_)), "unknown engine: {err:?}");
 }
 
 #[test]

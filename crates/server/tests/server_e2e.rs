@@ -3,14 +3,16 @@
 //!
 //! The shutdown flag is process-global, so every test that runs a server
 //! serializes behind [`E2E_LOCK`] — a drained test server must not take a
-//! concurrently-running one down with it.
+//! concurrently-running one down with it. One-shot references heed the
+//! same flag, so they are built under the lock too.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
 
 use isacmp::{
-    matrix_combos, run_matrix_opts, shutdown, CellJournal, MatrixOptions, SizeClass, Workload,
+    matrix_combos, run_matrix_opts, shutdown, CellJournal, MatrixOptions, ResultMatrix, SizeClass,
+    Workload,
 };
 use server::{Client, Config, JobOutcome, JobSpec, Server, ServerMsg};
 
@@ -24,11 +26,14 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// What a one-shot `make_tables table1 --size test` run would produce —
-/// the byte-identity reference for daemon-served matrices.
-fn one_shot_reference() -> String {
-    let opts = MatrixOptions { retries: 1, heed_shutdown: true, ..Default::default() };
-    run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts).to_json()
+/// What a one-shot `make_tables table1 --size test [--fusion]` run would
+/// produce — the byte-identity reference for daemon-served matrices. It
+/// heeds the shutdown flag as `make_tables` does, so it runs under
+/// [`E2E_LOCK`]: a sibling test's drain must not interrupt it mid-matrix.
+fn one_shot_reference(fusion: bool) -> ResultMatrix {
+    let _guard = E2E_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let opts = MatrixOptions { retries: 1, heed_shutdown: true, fusion, ..Default::default() };
+    run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts)
 }
 
 /// Boot a server, run `f` against it, then drain it and restore the
@@ -65,7 +70,7 @@ fn expect_done(outcome: JobOutcome) -> (u64, u64, u64, String) {
 
 #[test]
 fn served_matrix_is_byte_identical_to_one_shot_run() {
-    let reference = one_shot_reference();
+    let reference = one_shot_reference(false).to_json();
     with_server(test_config("byte-identity"), |addr| {
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let total_cells = matrix_combos(&Workload::ALL).len() as u64;
@@ -122,7 +127,7 @@ fn repeated_submissions_are_served_from_the_cache() {
 
 #[test]
 fn warm_start_serves_a_one_shot_artifact_without_recomputing() {
-    let reference = one_shot_reference();
+    let reference = one_shot_reference(false).to_json();
     let mut cfg = test_config("warm-start");
     let artifact = cfg.jobs_dir.join("matrix.json");
     std::fs::write(&artifact, &reference).expect("write artifact");
@@ -156,10 +161,7 @@ fn restarted_daemon_recovers_a_killed_jobs_journal() {
     // previous run sits in the jobs dir; a *fresh* daemon (cold cache)
     // receiving the same spec must serve entirely from the journal —
     // zero cells recomputed — and produce the exact one-shot bytes.
-    let reference_matrix = {
-        let opts = MatrixOptions { retries: 1, heed_shutdown: true, ..Default::default() };
-        run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts)
-    };
+    let reference_matrix = one_shot_reference(false);
     let cfg = test_config("journal-recovery");
     let spec = JobSpec::matrix(SizeClass::Test);
     let journal_path =
@@ -192,15 +194,11 @@ fn restarted_daemon_recovers_a_killed_jobs_journal() {
 
 #[test]
 fn fused_and_unfused_jobs_never_share_cache_slots() {
-    // Same size, same engine, opposite fusion axis: the daemon must key the
+    // Same size, opposite fusion axis: the daemon must key the
     // two apart (distinct CellKeys, distinct canonical/journal identities)
     // and a fused submission after a warm unfused one must recompute every
     // cell — a cross-contaminated hit would serve unfused bytes as fused.
-    let fused_reference = {
-        let opts =
-            MatrixOptions { retries: 1, heed_shutdown: true, fusion: true, ..Default::default() };
-        run_matrix_opts(&Workload::ALL, SizeClass::Test, &opts).to_json()
-    };
+    let fused_reference = one_shot_reference(true).to_json();
     with_server(test_config("fusion-axis"), |addr| {
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let total = matrix_combos(&Workload::ALL).len() as u64;

@@ -21,7 +21,7 @@
 //! Sections, in fixed order: `C` cpu (pc/instret/nzcv/exited/brk/output +
 //! both register files), `M` memory (page count, then sorted
 //! `(page_index, 4096 bytes)` pairs), `F` fault (armed read-fault triples
-//! + optional campaign seed/fired-count/spec+fired list), `T` trace mark
+//! and an optional campaign seed/fired-count/spec+fired list), `T` trace mark
 //! (records/blocks/bytes of the partial capture), `H` the capturing run's
 //! [`CpuState::state_hash`], `Z` end (empty). Readers verify every
 //! checksum, require all sections, and cross-check the embedded state

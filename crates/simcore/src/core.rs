@@ -24,23 +24,23 @@ pub fn host_mips(retired: u64, wall: Duration) -> f64 {
     }
 }
 
-/// Which retire loop [`EmulationCore::run`] drives.
+/// How [`EmulationCore::run`] feeds the executor.
 ///
-/// Both engines retire the exact same architectural instruction stream —
-/// the differential conformance suite (`tests/engine_differential.rs`)
-/// holds them byte-identical on state hashes, traces and matrices — they
-/// differ only in how much per-retirement overhead the host pays.
+/// There is one retire loop; the engine only picks its fuel. Both
+/// engines retire the exact same architectural instruction stream — the
+/// differential conformance suite (`tests/engine_differential.rs`) holds
+/// them byte-identical on state hashes and traces — they differ only in
+/// how much per-retirement overhead the host pays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// The original per-instruction loop: one decode-cache lookup, one
+    /// The reference: fuel 1 through [`IsaExecutor::step`], one
     /// boundary-check bundle and one observer dispatch per retirement.
     Legacy,
-    /// The pre-decoded basic-block engine: guest code is decoded once into
-    /// cached blocks of micro-ops and retired in batches, with boundary
-    /// checks amortized over whole blocks. Falls back to [`Engine::Legacy`]
-    /// per run when the executor does not support blocks, a fault injector
-    /// is attached, or armed read faults are pending (block pre-decode
-    /// performs eager fetches that would perturb the nth-read count).
+    /// Fuel up to the next loop-level event through
+    /// [`IsaExecutor::run_block`]: block executors decode guest code once
+    /// into cached blocks and retire them in batches. Runs stepwise, like
+    /// [`Engine::Legacy`], when a fault injector is attached or armed read
+    /// faults are pending (see [`EmulationCore::run`]).
     #[default]
     Block,
 }
@@ -93,13 +93,6 @@ pub trait IsaExecutor {
     /// drop their block cache here too, not just per-instruction decodes.
     fn flush_decode_cache(&self) {}
 
-    /// Whether [`IsaExecutor::run_block`] is a real pre-decoded block
-    /// engine. The default (`false`) routes [`Engine::Block`] runs through
-    /// the legacy loop, so executors without block support stay correct.
-    fn supports_blocks(&self) -> bool {
-        false
-    }
-
     /// Retire up to `fuel` instructions (block by block), stopping early if
     /// the guest exits or an instruction faults. Returns how many retired
     /// and the fault, if any; on a fault `state.pc` addresses the faulting
@@ -151,10 +144,6 @@ impl<E: IsaExecutor + ?Sized> IsaExecutor for &E {
 
     fn flush_decode_cache(&self) {
         (**self).flush_decode_cache()
-    }
-
-    fn supports_blocks(&self) -> bool {
-        (**self).supports_blocks()
     }
 
     fn run_block(
@@ -247,9 +236,8 @@ pub struct EmulationCore<E: IsaExecutor> {
     /// with [`SimError::Interrupted`] when set. Off by default so library
     /// users and tests are unaffected by the process-wide flag.
     heed_shutdown: bool,
-    /// Which retire loop to drive (see [`Engine`]); [`Engine::Block`] by
-    /// default, degrading to the legacy loop whenever its preconditions
-    /// do not hold.
+    /// How to fuel the retire loop (see [`Engine`]); [`Engine::Block`] by
+    /// default.
     engine: Engine,
 }
 
@@ -292,7 +280,8 @@ impl<E: IsaExecutor> EmulationCore<E> {
         }
     }
 
-    /// Select the retire loop (defaults to [`Engine::Block`]).
+    /// Select how the retire loop is fuelled (defaults to
+    /// [`Engine::Block`]; [`Engine::Legacy`] is the stepwise reference).
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -374,34 +363,29 @@ impl<E: IsaExecutor> EmulationCore<E> {
     /// On error, `state.instret` holds the retirement count reached and
     /// `state.pc` the faulting program counter, so callers can report how
     /// far the guest got.
+    ///
+    /// There is one retire loop. Each iteration computes the earliest
+    /// retirement count at which *any* loop-level event is due — budget,
+    /// masked boundary (checkpoint / shutdown / deadline), sampling
+    /// boundary, heartbeat — and hands the executor exactly that much
+    /// fuel, so blocks never straddle an event and every pause, publish,
+    /// watchdog trip and heartbeat lands at the same `instret` (and the
+    /// same `state.pc`) whatever the block size.
+    ///
+    /// The loop runs *stepwise* — fuel 1, [`FaultInjector::before_step`]
+    /// then [`IsaExecutor::step`], every observer handed every record —
+    /// for [`Engine::Legacy`], when an injector is attached (it needs a
+    /// before-every-step hook), or when an armed read fault is pending at
+    /// run start (block pre-decode performs eager fetches that would
+    /// perturb the nth-read count).
     pub fn run(
         &self,
         state: &mut CpuState,
         observers: &mut [&mut dyn Observer],
     ) -> Result<RunStats, SimError> {
-        // The block engine runs only when its equivalence preconditions
-        // hold: the executor actually pre-decodes blocks, no injector needs
-        // a before-every-step hook, and no armed read fault could be
-        // miscounted by the block builder's eager fetches. Everything else
-        // degrades to the legacy loop, which is always exact.
-        if self.engine == Engine::Block
-            && self.exec.supports_blocks()
-            && self.injector.is_none()
-            && !state.mem.read_fault_pending()
-        {
-            self.run_blocks(state, observers)
-        } else {
-            self.run_legacy(state, observers)
-        }
-    }
-
-    /// The original per-instruction retire loop; the behavioral reference
-    /// every other engine is held equivalent to.
-    fn run_legacy(
-        &self,
-        state: &mut CpuState,
-        observers: &mut [&mut dyn Observer],
-    ) -> Result<RunStats, SimError> {
+        let stepwise = self.engine == Engine::Legacy
+            || self.injector.is_some()
+            || state.mem.read_fault_pending();
         let start = Instant::now();
         // A restored state resumes counting where the snapshot left off;
         // fresh states start at instret 0, so nothing changes for them.
@@ -412,7 +396,19 @@ impl<E: IsaExecutor> EmulationCore<E> {
         } else {
             start_retired.saturating_add(self.checkpoint_every)
         };
-        let mut next_beat = self.progress_every;
+        // The heartbeat fires on equality with a counter that starts at
+        // `progress_every`, so a resumed run that is already past the first
+        // beat never beats again.
+        let mut next_beat =
+            if self.progress_every > start_retired { self.progress_every } else { u64::MAX };
+        // The masked 2^14 boundary only matters when one of its three
+        // tenants is live; otherwise blocks run straight through it.
+        let masked_live =
+            next_checkpoint != u64::MAX || self.heed_shutdown || self.deadline.is_some();
+        // Observer fast path: when no attached observer wants per-
+        // instruction records, the executor skips materializing them and
+        // observers get one `on_batch` per block instead.
+        let wants_retires = stepwise || observers.iter().any(|o| o.wants_retires());
         // Reset this thread's phase accumulator so a prior (possibly failed)
         // run on the same worker thread cannot leak into our breakdown.
         let _ = phase::take();
@@ -425,9 +421,7 @@ impl<E: IsaExecutor> EmulationCore<E> {
             }
             if retired & (Self::DEADLINE_CHECK_INTERVAL - 1) == 0 {
                 // Everything in this block runs once per 2^14 retirements,
-                // so the checkpoint/shutdown polls are off the hot path;
-                // with all three features disabled the loop pays exactly
-                // the same single masked branch it always has.
+                // so the checkpoint/shutdown polls are off the hot path.
                 if retired >= next_checkpoint {
                     state.instret = retired;
                     return Ok(RunStats {
@@ -457,28 +451,55 @@ impl<E: IsaExecutor> EmulationCore<E> {
                     snap.publish(state.pc, retired);
                 }
             }
-            if let Some(inj) = &self.injector {
-                match inj.borrow_mut().before_step(state, retired) {
-                    Ok(InjectAction::Continue) => {}
-                    Ok(InjectAction::FlushDecodeCache) => self.exec.flush_decode_cache(),
-                    Err(e) => {
-                        state.instret = retired;
-                        return Err(e);
-                    }
+            let (done, err) = if stepwise {
+                self.step_once(state, retired, observers)
+            } else {
+                // Earliest retirement count at which an event is due
+                // again. Every candidate is strictly greater than
+                // `retired` (the budget was just checked; the boundary
+                // expressions round up), so the executor always gets at
+                // least one instruction of fuel.
+                let mut stop = self.max_insts;
+                if masked_live {
+                    stop = stop.min((retired | (Self::DEADLINE_CHECK_INTERVAL - 1)) + 1);
                 }
-            }
-            let ri = match self.exec.step(state) {
-                Ok(ri) => ri,
-                Err(e) => {
-                    state.instret = retired;
-                    return Err(e);
+                if self.sample_mask != u64::MAX {
+                    stop = stop.min((retired | self.sample_mask) + 1);
+                }
+                stop = stop.min(next_beat);
+                let fuel = stop - retired;
+                if wants_retires {
+                    let mut sink = |ri: &RetiredInst| {
+                        let _t = phase::scoped(Phase::Observe);
+                        for obs in observers.iter_mut() {
+                            obs.on_retire(ri);
+                        }
+                    };
+                    self.exec.run_block(state, fuel, Some(&mut sink))
+                } else {
+                    let (done, err) = self.exec.run_block(state, fuel, None);
+                    if done > 0 && !observers.is_empty() {
+                        let _t = phase::scoped(Phase::Observe);
+                        for obs in observers.iter_mut() {
+                            obs.on_batch(done);
+                        }
+                    }
+                    (done, err)
                 }
             };
-            retired += 1;
-            if !observers.is_empty() {
-                let _t = phase::scoped(Phase::Observe);
-                for obs in observers.iter_mut() {
-                    obs.on_retire(&ri);
+            retired += done;
+            if let Some(e) = err {
+                state.instret = retired;
+                return Err(e);
+            }
+            if done == 0 && state.exited.is_none() {
+                // Forward-progress guard against a miscounting executor:
+                // one step either retires or surfaces the fault.
+                let (done, err) = self.step_once(state, retired, observers);
+                retired += done;
+                if let Some(e) = err {
+                    state.instret = retired;
+                    return Err(e);
                 }
             }
             if retired == next_beat {
@@ -504,161 +525,34 @@ impl<E: IsaExecutor> EmulationCore<E> {
         })
     }
 
-    /// The pre-decoded basic-block retire loop.
-    ///
-    /// Equivalence with [`Self::run_legacy`] hinges on one invariant: no
-    /// loop-level event may fire at a different retirement count. The loop
-    /// therefore computes, each iteration, the earliest retirement count at
-    /// which *any* event is due — budget, masked boundary (checkpoint /
-    /// shutdown / deadline), sampling boundary, heartbeat — and hands the
-    /// executor exactly that much fuel. Blocks never straddle an event
-    /// boundary, so every checkpoint pause, sample publish, watchdog trip
-    /// and heartbeat lands at the same `instret` (and the same `state.pc`)
-    /// the legacy loop produces.
-    fn run_blocks(
+    /// Retire one instruction: consult the injector (when attached), then
+    /// step and hand the record to every observer. Returns how many
+    /// retired (0 or 1) and the fault, if any.
+    fn step_once(
         &self,
         state: &mut CpuState,
+        retired: u64,
         observers: &mut [&mut dyn Observer],
-    ) -> Result<RunStats, SimError> {
-        let start = Instant::now();
-        let start_retired = state.instret;
-        let mut retired: u64 = start_retired;
-        let next_checkpoint = if self.checkpoint_every == u64::MAX {
-            u64::MAX
-        } else {
-            start_retired.saturating_add(self.checkpoint_every)
-        };
-        // The legacy heartbeat check is an equality against a counter that
-        // starts at `progress_every`, so a resumed run that is already past
-        // the first beat never beats again — mirror that exactly.
-        let mut next_beat =
-            if self.progress_every > start_retired { self.progress_every } else { u64::MAX };
-        // The masked 2^14 boundary only matters when one of its three
-        // tenants is live; otherwise blocks run straight through it, just
-        // as the legacy loop's branch never does anything there.
-        let masked_live =
-            next_checkpoint != u64::MAX || self.heed_shutdown || self.deadline.is_some();
-        // Observer fast path: when no attached observer wants per-
-        // instruction records, the executor skips materializing them and
-        // observers get one `on_batch` per block instead.
-        let wants_retires = observers.iter().any(|o| o.wants_retires());
-        let _ = phase::take();
-        while state.exited.is_none() {
-            if retired >= self.max_insts {
-                state.instret = retired;
-                return Err(SimError::InstructionBudgetExceeded {
-                    budget: self.max_insts,
-                });
+    ) -> (u64, Option<SimError>) {
+        if let Some(inj) = &self.injector {
+            match inj.borrow_mut().before_step(state, retired) {
+                Ok(InjectAction::Continue) => {}
+                Ok(InjectAction::FlushDecodeCache) => self.exec.flush_decode_cache(),
+                Err(e) => return (0, Some(e)),
             }
-            if retired & (Self::DEADLINE_CHECK_INTERVAL - 1) == 0 {
-                if retired >= next_checkpoint {
-                    state.instret = retired;
-                    return Ok(RunStats {
-                        retired,
-                        exit_code: 0,
-                        stop: StopReason::CheckpointDue,
-                        wall: start.elapsed(),
-                        phases: phase::take(),
-                    });
-                }
-                if self.heed_shutdown && crate::shutdown::requested() {
-                    state.instret = retired;
-                    return Err(SimError::Interrupted { retired });
-                }
-                if let Some(deadline) = self.deadline {
-                    if start.elapsed() >= deadline {
-                        state.instret = retired;
-                        return Err(SimError::WallClockExceeded {
-                            limit_ms: deadline.as_millis() as u64,
-                            retired,
-                        });
-                    }
-                }
-            }
-            if retired & self.sample_mask == 0 {
-                if let Some(snap) = &self.sample {
-                    snap.publish(state.pc, retired);
-                }
-            }
-            // Earliest retirement count at which an event is due again.
-            // Every candidate is strictly greater than `retired` (the
-            // budget was just checked; the boundary expressions round up),
-            // so the executor always gets at least one instruction of fuel.
-            let mut stop = self.max_insts;
-            if masked_live {
-                stop = stop.min((retired | (Self::DEADLINE_CHECK_INTERVAL - 1)) + 1);
-            }
-            if self.sample_mask != u64::MAX {
-                stop = stop.min((retired | self.sample_mask) + 1);
-            }
-            stop = stop.min(next_beat);
-            let fuel = stop - retired;
-            let (done, err) = if wants_retires {
-                let mut sink = |ri: &RetiredInst| {
+        }
+        match self.exec.step(state) {
+            Ok(ri) => {
+                if !observers.is_empty() {
                     let _t = phase::scoped(Phase::Observe);
                     for obs in observers.iter_mut() {
-                        obs.on_retire(ri);
-                    }
-                };
-                self.exec.run_block(state, fuel, Some(&mut sink))
-            } else {
-                self.exec.run_block(state, fuel, None)
-            };
-            retired += done;
-            if !wants_retires && done > 0 && !observers.is_empty() {
-                let _t = phase::scoped(Phase::Observe);
-                for obs in observers.iter_mut() {
-                    obs.on_batch(done);
-                }
-            }
-            if let Some(e) = err {
-                state.instret = retired;
-                return Err(e);
-            }
-            if done == 0 && state.exited.is_none() {
-                // Forward-progress guard against a miscounting executor:
-                // one legacy step either retires or surfaces the fault.
-                match self.exec.step(state) {
-                    Ok(ri) => {
-                        retired += 1;
-                        if !observers.is_empty() {
-                            let _t = phase::scoped(Phase::Observe);
-                            for obs in observers.iter_mut() {
-                                if wants_retires {
-                                    obs.on_retire(&ri);
-                                } else {
-                                    obs.on_batch(1);
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        state.instret = retired;
-                        return Err(e);
+                        obs.on_retire(&ri);
                     }
                 }
+                (1, None)
             }
-            if retired == next_beat {
-                let mips = host_mips(retired, start.elapsed());
-                eprintln!(
-                    "[{}] {retired} retired, {mips:.1} MIPS, pc={:#x}",
-                    self.exec.name(),
-                    state.pc
-                );
-                next_beat = next_beat.saturating_add(self.progress_every);
-            }
+            Err(e) => (0, Some(e)),
         }
-        state.instret = retired;
-        for obs in observers.iter_mut() {
-            obs.on_finish();
-        }
-        Ok(RunStats {
-            retired,
-            exit_code: state.exited.unwrap_or(0),
-            stop: StopReason::Exited,
-            wall: start.elapsed(),
-            phases: phase::take(),
-        })
     }
 }
 
@@ -933,10 +827,6 @@ mod tests {
 
         fn name(&self) -> &'static str {
             "block-spin"
-        }
-
-        fn supports_blocks(&self) -> bool {
-            true
         }
 
         fn run_block(

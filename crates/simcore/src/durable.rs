@@ -80,6 +80,7 @@ pub fn tmp_path(path: &Path) -> std::path::PathBuf {
 /// An append-only log where every appended record is synced to disk
 /// before the append returns — the fsync-per-record discipline the cell
 /// journal needs to survive SIGKILL with all acknowledged records intact.
+#[derive(Debug)]
 pub struct DurableLog {
     file: File,
 }

@@ -165,8 +165,9 @@ mod tests {
         // Whatever was accumulated before, take() resets the accumulator.
         let _ = take();
         if !enabled() {
-            let _g = scoped(Phase::Execute);
-            drop(_g);
+            {
+                let _g = scoped(Phase::Execute);
+            }
             assert_eq!(take(), PhaseNanos::default());
         }
     }

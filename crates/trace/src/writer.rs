@@ -276,7 +276,7 @@ mod tests {
         impl Write for FailAfter {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
                 if self.0 == 0 {
-                    return Err(io::Error::new(io::ErrorKind::Other, "disk full"));
+                    return Err(io::Error::other("disk full"));
                 }
                 self.0 = self.0.saturating_sub(buf.len());
                 Ok(buf.len())
@@ -288,7 +288,7 @@ mod tests {
         let mut w = TraceWriter::new(FailAfter(1 << 20), &meta()).unwrap();
         // Force many block flushes against a sink that fails immediately
         // after the header budget is spent.
-        w.error = Some(io::Error::new(io::ErrorKind::Other, "disk full"));
+        w.error = Some(io::Error::other("disk full"));
         let ri = RetiredInst::new(0x1000, simcore::InstGroup::IntAlu);
         for _ in 0..10 {
             w.on_retire(&ri);

@@ -13,9 +13,7 @@
 
 use std::time::Duration;
 
-use simcore::{
-    CpuState, EmulationCore, Engine, FaultInjector, IsaExecutor, Observer, RunStats, SimError,
-};
+use simcore::{CpuState, EmulationCore, FaultInjector, IsaExecutor, Observer, RunStats, SimError};
 
 use crate::cache::CacheModel;
 use crate::latency::LatencyModel;
@@ -23,19 +21,18 @@ use crate::pipeline::{InOrderCore, OoOCore};
 
 /// Run the guest in `state` to completion on `exec`, feeding every
 /// retirement to `observer`, with an optional wall-clock deadline and
-/// fault injector — the same knobs as the emulation path. `engine`
-/// selects the retire loop; timing models want per-instruction records,
-/// so a block-engine run takes the observer slow path (records are still
-/// delivered one by one, only decode overhead is amortized).
+/// fault injector — the same knobs as the emulation path. Timing models
+/// want per-instruction records, so the block engine takes the observer
+/// slow path (records are still delivered one by one, only decode
+/// overhead is amortized).
 pub fn run_guest<E: IsaExecutor>(
     observer: &mut dyn Observer,
     exec: E,
     state: &mut CpuState,
     deadline: Option<Duration>,
     injector: Option<Box<dyn FaultInjector>>,
-    engine: Engine,
 ) -> Result<RunStats, SimError> {
-    let mut core = EmulationCore::new(exec).with_engine(engine);
+    let mut core = EmulationCore::new(exec);
     if let Some(d) = deadline {
         core = core.with_deadline(d);
     }
@@ -55,7 +52,7 @@ impl<M: LatencyModel> InOrderCore<M> {
         deadline: Option<Duration>,
         injector: Option<Box<dyn FaultInjector>>,
     ) -> Result<RunStats, SimError> {
-        run_guest(self, exec, state, deadline, injector, Engine::default())
+        run_guest(self, exec, state, deadline, injector)
     }
 }
 
@@ -69,7 +66,7 @@ impl<M: LatencyModel> OoOCore<M> {
         deadline: Option<Duration>,
         injector: Option<Box<dyn FaultInjector>>,
     ) -> Result<RunStats, SimError> {
-        run_guest(self, exec, state, deadline, injector, Engine::default())
+        run_guest(self, exec, state, deadline, injector)
     }
 }
 
@@ -84,7 +81,7 @@ impl CacheModel {
         deadline: Option<Duration>,
         injector: Option<Box<dyn FaultInjector>>,
     ) -> Result<RunStats, SimError> {
-        run_guest(self, exec, state, deadline, injector, Engine::default())
+        run_guest(self, exec, state, deadline, injector)
     }
 }
 

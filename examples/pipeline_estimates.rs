@@ -8,7 +8,9 @@
 //! cargo run --release --example pipeline_estimates
 //! ```
 
-use isacmp::{run_pipeline, IsaKind, Personality, PipelineConfig, SizeClass, Workload};
+use isacmp::{
+    run_pipeline, IsaKind, Personality, PipelineConfig, PipelineOptions, SizeClass, Workload,
+};
 
 fn main() {
     let p = Personality::gcc122();
@@ -26,8 +28,9 @@ fn main() {
             (PipelineConfig::tx2(), true),
             (PipelineConfig::firestorm(), true),
         ] {
-            let arm = run_pipeline(w, IsaKind::AArch64, &p, size, cfg.clone(), ooo);
-            let rv = run_pipeline(w, IsaKind::RiscV, &p, size, cfg, ooo);
+            let opts = PipelineOptions::new(cfg, ooo);
+            let timed = |isa| run_pipeline(w, isa, &p, size, &opts).expect("clean guest run").1;
+            let (arm, rv) = (timed(IsaKind::AArch64), timed(IsaKind::RiscV));
             cols.push(format!(
                 "{} [{:.2}]",
                 arm.cycles,

@@ -4,10 +4,15 @@
 //! with fault injection off *and* on.
 
 use isacmp::{
-    compile, execute, run_pipeline, run_pipeline_full, try_execute, try_run_pipeline_full,
-    CacheConfig, CacheModel, CriticalPath, FaultInjector, FaultPlan, IsaKind, Observer,
-    PathLength, Personality, PipelineConfig, Program, SizeClass, Workload,
+    compile, execute, run_pipeline, try_execute_engine, CacheConfig, CacheModel, CriticalPath,
+    Engine, FaultPlan, IsaKind, Observer, PathLength, Personality, PipelineConfig,
+    PipelineOptions, PipelineStats, Program, SizeClass, Workload,
 };
+
+/// Time a clean test-size run; any guest failure fails the test.
+fn timed(w: Workload, isa: IsaKind, p: &Personality, opts: &PipelineOptions) -> PipelineStats {
+    run_pipeline(w, isa, p, SizeClass::Test, opts).expect("pipeline run is clean").1
+}
 
 #[test]
 fn elf_round_trip_preserves_measurements() {
@@ -43,16 +48,11 @@ fn cached_pipeline_never_faster_than_ideal() {
     for w in [Workload::Stream, Workload::CloverLeaf] {
         for isa in [IsaKind::AArch64, IsaKind::RiscV] {
             let p = Personality::gcc122();
-            let ideal = run_pipeline(w, isa, &p, SizeClass::Test, PipelineConfig::tx2(), true);
-            let cached = run_pipeline_full(
-                w,
-                isa,
-                &p,
-                SizeClass::Test,
-                PipelineConfig::tx2(),
-                true,
-                Some((CacheConfig::l1d_32k(), 100)),
-            );
+            let ideal_opts = PipelineOptions::new(PipelineConfig::tx2(), true);
+            let ideal = timed(w, isa, &p, &ideal_opts);
+            let cached_opts =
+                PipelineOptions { dcache: Some((CacheConfig::l1d_32k(), 100)), ..ideal_opts };
+            let cached = timed(w, isa, &p, &cached_opts);
             assert!(
                 cached.cycles >= ideal.cycles,
                 "{} {}: cache made it faster? {} < {}",
@@ -72,9 +72,9 @@ fn pipeline_configs_order_sanely() {
     let p = Personality::gcc122();
     for w in Workload::ALL {
         for isa in [IsaKind::AArch64, IsaKind::RiscV] {
-            let ino = run_pipeline(w, isa, &p, SizeClass::Test, PipelineConfig::a55(), false);
-            let tx2 = run_pipeline(w, isa, &p, SizeClass::Test, PipelineConfig::tx2(), true);
-            let fs = run_pipeline(w, isa, &p, SizeClass::Test, PipelineConfig::firestorm(), true);
+            let ino = timed(w, isa, &p, &PipelineOptions::new(PipelineConfig::a55(), false));
+            let tx2 = timed(w, isa, &p, &PipelineOptions::new(PipelineConfig::tx2(), true));
+            let fs = timed(w, isa, &p, &PipelineOptions::new(PipelineConfig::firestorm(), true));
             assert!(tx2.cycles <= ino.cycles, "{}: TX2 {} > in-order {}", w.name(), tx2.cycles, ino.cycles);
             assert!(fs.cycles <= tx2.cycles, "{}: Firestorm {} > TX2 {}", w.name(), fs.cycles, tx2.cycles);
         }
@@ -92,19 +92,11 @@ fn pipeline_and_emulation_agree_architecturally() {
         for isa in [IsaKind::AArch64, IsaKind::RiscV] {
             let compiled = compile(&w.build(SizeClass::Test), isa, &p);
             let (st_emu, stats) =
-                try_execute(&compiled, &mut [], None, None).expect("emulation runs clean");
-            let (st_pipe, pstats) = try_run_pipeline_full(
-                w,
-                isa,
-                &p,
-                SizeClass::Test,
-                PipelineConfig::tx2(),
-                true,
-                None,
-                None,
-                None,
-            )
-            .expect("pipeline run is clean");
+                try_execute_engine(&compiled, &mut [], None, None, Engine::default())
+                    .expect("emulation runs clean");
+            let opts = PipelineOptions::new(PipelineConfig::tx2(), true);
+            let (st_pipe, pstats) =
+                run_pipeline(w, isa, &p, SizeClass::Test, &opts).expect("pipeline run is clean");
             let label = format!("{} / {}", w.name(), isacmp::isa_label(isa));
             assert_eq!(stats.retired, pstats.retired, "{label}: retire counts");
             assert_eq!(st_emu.instret, st_pipe.instret, "{label}: instret");
@@ -127,22 +119,16 @@ fn pipeline_and_emulation_fail_identically_under_injection() {
     for isa in [IsaKind::AArch64, IsaKind::RiscV] {
         let fault = FaultPlan::parse("trap@1000").unwrap();
         let compiled = compile(&Workload::Stream.build(SizeClass::Test), isa, &p);
-        let err_emu = match try_execute(&compiled, &mut [], None, Some(&fault)) {
+        let emu = try_execute_engine(&compiled, &mut [], None, Some(&fault), Engine::default());
+        let err_emu = match emu {
             Err(e) => e,
             Ok(_) => panic!("injected trap must fail emulation"),
         };
-        let injector: Option<Box<dyn FaultInjector>> = Some(Box::new(fault.clone()));
-        let err_pipe = match try_run_pipeline_full(
-            Workload::Stream,
-            isa,
-            &p,
-            SizeClass::Test,
-            PipelineConfig::tx2(),
-            true,
-            None,
-            None,
-            injector,
-        ) {
+        let opts = PipelineOptions {
+            fault: Some(fault.clone()),
+            ..PipelineOptions::new(PipelineConfig::tx2(), true)
+        };
+        let err_pipe = match run_pipeline(Workload::Stream, isa, &p, SizeClass::Test, &opts) {
             Err(e) => e,
             Ok(_) => panic!("injected trap must fail the pipeline run"),
         };

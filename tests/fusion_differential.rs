@@ -10,12 +10,22 @@ use isacmp::{
     Workload,
 };
 
+/// Both tests in this binary move the process-global `trace_captures` /
+/// `trace_replays` counters and assert exact deltas on them, so they run
+/// one at a time; other test binaries are separate processes.
+static TELEMETRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    TELEMETRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn fused_opts(dir: &std::path::Path) -> MatrixOptions {
     MatrixOptions { trace_dir: Some(dir.to_path_buf()), fusion: true, ..Default::default() }
 }
 
 #[test]
 fn replayed_fusion_reports_match_live_byte_identically() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("isacmp-fusion-replay-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let tel = isacmp::telemetry::global();
@@ -45,6 +55,7 @@ fn replayed_fusion_reports_match_live_byte_identically() {
 
 #[test]
 fn fused_and_unfused_cells_share_traces_but_not_results() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("isacmp-fusion-axis-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let tel = isacmp::telemetry::global();

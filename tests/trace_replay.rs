@@ -5,12 +5,22 @@
 
 use isacmp::{run_matrix_opts, MatrixOptions, SizeClass, Workload};
 
+/// Both tests in this binary move the process-global `trace_captures` /
+/// `trace_replays` counters and assert exact deltas on them, so they run
+/// one at a time; other test binaries are separate processes.
+static TELEMETRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    TELEMETRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn opts(dir: &std::path::Path) -> MatrixOptions {
     MatrixOptions { trace_dir: Some(dir.to_path_buf()), ..Default::default() }
 }
 
 #[test]
 fn replayed_matrix_reproduces_live_tables_byte_identically() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("isacmp-replay-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let tel = isacmp::telemetry::global();
@@ -40,6 +50,7 @@ fn replayed_matrix_reproduces_live_tables_byte_identically() {
 fn stale_provenance_falls_back_to_live_recapture() {
     use isacmp::{run_cell_opts, CellOptions, IsaKind, Personality};
 
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("isacmp-stale-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let tel = isacmp::telemetry::global();
