@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use simcore::{Observer, RetireSource, RetiredInst, SimError, WordMap, NUM_REG_SLOTS};
+use simcore::{DepTable, Observer, RetireSource, RetiredInst, SimError};
 
 /// The window sizes used in the paper's Figure 2.
 pub const PAPER_WINDOW_SIZES: [usize; 7] = [4, 16, 64, 200, 500, 1000, 2000];
@@ -61,11 +61,8 @@ pub struct WindowedCp {
     ring: VecDeque<RetiredInst>,
     max_size: usize,
     sizes: Vec<PerSize>,
-    // Reused scratch state for the per-window CP computation.
-    reg_chain: [u64; NUM_REG_SLOTS],
-    reg_epoch: [u64; NUM_REG_SLOTS],
-    epoch: u64,
-    mem_chain: WordMap<u64>,
+    /// Chain depths for the window being measured, cleared per window.
+    chain: DepTable<u64>,
 }
 
 impl WindowedCp {
@@ -95,50 +92,17 @@ impl WindowedCp {
                     }
                 })
                 .collect(),
-            reg_chain: [0; NUM_REG_SLOTS],
-            reg_epoch: [0; NUM_REG_SLOTS],
-            epoch: 0,
-            mem_chain: WordMap::default(),
+            chain: DepTable::new(),
         }
     }
 
     /// Unit-cost CP over the most recent `size` records in the ring.
     fn window_cp(&mut self, size: usize) -> u64 {
-        self.epoch += 1;
-        self.mem_chain.clear();
+        self.chain.clear();
         let mut longest = 0u64;
-        let start = self.ring.len() - size;
-        for i in start..self.ring.len() {
-            let ri = &self.ring[i];
-            let mut longest_src = 0u64;
-            for r in ri.srcs.iter() {
-                let idx = r.index();
-                if self.reg_epoch[idx] == self.epoch {
-                    longest_src = longest_src.max(self.reg_chain[idx]);
-                }
-            }
-            for a in ri.mem_reads.iter() {
-                let first = a.addr >> 3;
-                let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-                for w in first..=last {
-                    if let Some(&c) = self.mem_chain.get(&w) {
-                        longest_src = longest_src.max(c);
-                    }
-                }
-            }
-            let depth = longest_src + 1;
-            for r in ri.dsts.iter() {
-                let idx = r.index();
-                self.reg_chain[idx] = depth;
-                self.reg_epoch[idx] = self.epoch;
-            }
-            for a in ri.mem_writes.iter() {
-                let first = a.addr >> 3;
-                let last = (a.addr + a.size.max(1) as u64 - 1) >> 3;
-                for w in first..=last {
-                    self.mem_chain.insert(w, depth);
-                }
-            }
+        for ri in self.ring.range(self.ring.len() - size..) {
+            let depth = self.chain.fold_reads(ri, 0, u64::max) + 1;
+            self.chain.write(ri, depth);
             longest = longest.max(depth);
         }
         longest
@@ -268,7 +232,7 @@ mod tests {
     #[test]
     fn chains_reset_between_windows() {
         // The serial register chain must not leak CP across window
-        // evaluations (epoch tagging).
+        // evaluations (the dependency table is cleared per window).
         let mut w = WindowedCp::new(&[4]);
         for _ in 0..8 {
             w.on_retire(&serial());

@@ -32,8 +32,9 @@
 //! `--runs` times with the best (highest-MIPS) run kept. Per cell the
 //! report shows rvr-style normalized columns alongside raw wall time:
 //! host nanoseconds per guest op, host cycles per guest op (scaled by
-//! `--host-ghz`, default 3.0), and slowdown versus the host-native kernel
-//! (the same `KernelProgram` run through `kernelgen::interpret`). The
+//! `--host-ghz`, default 3.0), and slowdown versus the IR interpreter
+//! (the same `KernelProgram` run through `kernelgen::interpret`; not
+//! native host code, hence the `vs interp` label). The
 //! geomean of per-cell MIPS over the *block*-engine rows is the headline
 //! number compared against the previous history entry; a drop larger than
 //! `--threshold` percent (default 20) is a regression. Report-only by
@@ -193,10 +194,10 @@ struct CellResult {
     host_ns_per_op: f64,
     /// `host_ns_per_op` scaled by the assumed host clock (`--host-ghz`).
     host_cycles_per_op: f64,
-    /// Emulated wall over the host-native (`kernelgen::interpret`) wall
-    /// for the same kernel; `None` when the native run was too fast to
-    /// time at this size class.
-    overhead_vs_native: Option<f64>,
+    /// Emulated wall over the IR interpreter's (`kernelgen::interpret`)
+    /// wall for the same kernel; `None` when the interpreter run was too
+    /// fast to time at this size class.
+    overhead_vs_interp: Option<f64>,
 }
 
 impl CellResult {
@@ -214,8 +215,8 @@ impl CellResult {
             ("host_ns_per_op", Json::Num(self.host_ns_per_op)),
             ("host_cycles_per_op", Json::Num(self.host_cycles_per_op)),
         ];
-        if let Some(x) = self.overhead_vs_native {
-            fields.push(("overhead_vs_native", Json::Num(x)));
+        if let Some(x) = self.overhead_vs_interp {
+            fields.push(("overhead_vs_interp", Json::Num(x)));
         }
         Json::obj(fields)
     }
@@ -228,7 +229,7 @@ fn measure_cell(
     compiled: &Compiled,
     personality: &Personality,
     engine: Engine,
-    native_wall: Duration,
+    interp_wall: Duration,
     runs: u32,
     mips_scale: f64,
     host_ghz: f64,
@@ -259,7 +260,7 @@ fn measure_cell(
             let wall_ns = stats.wall.as_secs_f64() * 1e9;
             let host_ns_per_op =
                 if stats.retired > 0 { wall_ns / stats.retired as f64 } else { 0.0 };
-            let native_s = native_wall.as_secs_f64();
+            let interp_s = interp_wall.as_secs_f64();
             best = Some(CellResult {
                 workload: workload.name(),
                 isa: isa_label(isa),
@@ -270,8 +271,8 @@ fn measure_cell(
                 mips,
                 host_ns_per_op,
                 host_cycles_per_op: host_ns_per_op * host_ghz,
-                overhead_vs_native: (native_s > 0.0)
-                    .then(|| stats.wall.as_secs_f64() / native_s),
+                overhead_vs_interp: (interp_s > 0.0)
+                    .then(|| stats.wall.as_secs_f64() / interp_s),
             });
         }
     }
@@ -394,17 +395,17 @@ fn main() -> ExitCode {
     );
     println!(
         "  {:<34} {:>12}  {:>9}  {:>8}  {:>8}  {:>8}  {:>9}",
-        "cell", "retired", "wall ms", "MIPS", "ns/op", "cyc/op", "vs native"
+        "cell", "retired", "wall ms", "MIPS", "ns/op", "cyc/op", "vs interp"
     );
     let mut cells = Vec::with_capacity(suite.len() * ENGINES.len());
     for (workload, isa) in suite {
         let prog = workload.build(args.size);
         let compiled = compile(&prog, isa, &personality);
-        // Host-native reference: the same kernel run straight through the
-        // interpreter, no guest ISA involved.
-        let native_start = Instant::now();
+        // Interpreter reference: the same kernel run straight through the
+        // IR interpreter, no guest ISA involved.
+        let interp_start = Instant::now();
         let _ = interpret(&prog, &personality);
-        let native_wall = native_start.elapsed();
+        let interp_wall = interp_start.elapsed();
         for engine in ENGINES {
             match measure_cell(
                 workload,
@@ -412,15 +413,15 @@ fn main() -> ExitCode {
                 &compiled,
                 &personality,
                 engine,
-                native_wall,
+                interp_wall,
                 args.runs,
                 args.mips_scale,
                 args.host_ghz,
                 args.load,
             ) {
                 Ok(cell) => {
-                    let vs_native = cell
-                        .overhead_vs_native
+                    let vs_interp = cell
+                        .overhead_vs_interp
                         .map_or_else(|| "-".to_string(), |x| format!("{x:.1}x"));
                     println!(
                         "  {:<34} {:>12}  {:>9.2}  {:>8.2}  {:>8.1}  {:>8.1}  {:>9}",
@@ -430,7 +431,7 @@ fn main() -> ExitCode {
                         cell.mips,
                         cell.host_ns_per_op,
                         cell.host_cycles_per_op,
-                        vs_native
+                        vs_interp
                     );
                     cells.push(cell);
                 }

@@ -66,7 +66,7 @@ pub use crate::fault::{
     Campaign, CampaignSpec, FaultInjector, FaultKind, FaultPlan, InjectAction,
     DEFAULT_CAMPAIGN_WINDOW, DEFAULT_FAULT_SEED,
 };
-pub use crate::hash::{WordHasher, WordMap};
+pub use crate::hash::{DepTable, WordHasher, WordMap};
 pub use crate::mem::Memory;
 pub use crate::observer::{CountingObserver, NullObserver, Observer};
 pub use crate::program::{IsaKind, Program, Region, Section};

@@ -129,6 +129,18 @@ pub struct MemAccess {
     pub size: u8,
 }
 
+impl MemAccess {
+    /// Indices of the 8-byte words the access touches (byte address / 8),
+    /// the granularity every dependency analysis tracks memory at. A
+    /// zero-size access counts as one byte.
+    #[inline]
+    pub fn words(self) -> std::ops::RangeInclusive<u64> {
+        let first = self.addr >> 3;
+        let last = (self.addr + self.size.max(1) as u64 - 1) >> 3;
+        first..=last
+    }
+}
+
 /// A fixed-capacity list of memory accesses (no instruction in either ISA
 /// subset performs more than two).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

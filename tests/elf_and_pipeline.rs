@@ -4,9 +4,9 @@
 //! with fault injection off *and* on.
 
 use isacmp::{
-    compile, execute, run_pipeline, try_execute_engine, CacheConfig, CacheModel, CriticalPath,
-    Engine, FaultPlan, IsaKind, Observer, PathLength, Personality, PipelineConfig,
-    PipelineOptions, PipelineStats, Program, SizeClass, Workload,
+    compile, execute, run_pipeline, try_execute_engine, CacheConfig, CacheModel, DualCriticalPath,
+    Engine, FaultPlan, IsaKind, Observer, PathLength, Personality, PipelineConfig, PipelineOptions,
+    PipelineStats, Program, SizeClass, Tx2Latency, Workload,
 };
 
 /// Time a clean test-size run; any guest failure fails the test.
@@ -34,7 +34,7 @@ fn elf_round_trip_preserves_measurements() {
             array_addrs: compiled.array_addrs.clone(),
         };
         let mut pl_elf = PathLength::new(&reloaded.program.regions);
-        let mut cp = CriticalPath::new();
+        let mut cp = DualCriticalPath::new(Tx2Latency);
         let (st, _) = execute(&reloaded, &mut [&mut pl_elf, &mut cp]);
 
         assert_eq!(pl_elf.total(), pl_direct.total(), "identical execution after round trip");
@@ -162,5 +162,52 @@ fn cache_hit_rates_isa_symmetric() {
             "{}: hit rates diverge across ISAs: {rates:?}",
             w.name()
         );
+    }
+}
+
+/// Observer outputs at test size (GCC 12.2) that no byte-identity suite
+/// covers: `make_tables mix` (chain composition, dependency distances) and
+/// `make_tables pipeline` (in-order A55 and OoO TX2 cycle counts). Pinned
+/// so a change to the shared dependency table cannot move them silently.
+#[test]
+fn dependency_observers_match_pinned_values() {
+    use isacmp::{CpComposition, DepDistance, InOrderCore, OoOCore};
+    #[rustfmt::skip]
+    let pinned = [
+        ("STREAM AArch64",
+         "[(Branch, 64), (Store, 22), (FpAdd, 5), (IntAlu, 2), (Load, 1)]",
+         [2541, 269, 1109, 1284, 39, 216, 846, 1440], 7744, (6859, 3720), 4256),
+        ("STREAM RISC-V",
+         "[(Branch, 64), (Store, 21), (FpAdd, 5), (IntAlu, 3), (Load, 1)]",
+         [1322, 964, 1292, 1676, 42, 122, 494, 1140], 7052, (6862, 3723), 4326),
+        ("LBM AArch64",
+         "[(FpAdd, 109), (Store, 38), (IntAlu, 2), (Load, 1), (FpMul, 1), (FpCmp, 1), (FpMove, 1)]",
+         [29442, 9516, 7685, 7040, 9230, 15665, 14460, 26803], 119841, (141825, 88076), 55951),
+        ("LBM RISC-V",
+         "[(Store, 112), (FpAdd, 35), (IntAlu, 8), (FpMove, 3), (Load, 1), (FpMul, 1)]",
+         [24913, 9072, 6457, 8098, 10582, 21336, 2576, 23625], 106659, (146508, 89086), 63681),
+    ];
+    let mut cells = pinned.iter();
+    for w in [Workload::Stream, Workload::Lbm] {
+        for isa in [IsaKind::AArch64, IsaKind::RiscV] {
+            let (label, comp_want, hist_want, edges_want, (a55_want, tx2_want), retired) =
+                cells.next().unwrap();
+            assert_eq!(*label, format!("{} {}", w.name(), isacmp::isa_label(isa)));
+            let compiled = compile(&w.build(SizeClass::Test), isa, &Personality::gcc122());
+            let mut comp = CpComposition::new();
+            let mut dep = DepDistance::new();
+            let mut ino = InOrderCore::new(Tx2Latency, PipelineConfig::a55());
+            let mut ooo = OoOCore::new(Tx2Latency, PipelineConfig::tx2());
+            execute(&compiled, &mut [&mut comp, &mut dep, &mut ino, &mut ooo]);
+
+            assert_eq!(format!("{:?}", comp.composition()), *comp_want, "{label}: composition");
+            let hist: Vec<(u64, u64)> = analysis::DIST_BUCKETS.into_iter().zip(*hist_want).collect();
+            assert_eq!(dep.histogram(), hist, "{label}: distance histogram");
+            assert_eq!(dep.edges(), *edges_want, "{label}: dependency edges");
+            let a55 = PipelineStats { cycles: *a55_want, retired: *retired };
+            let tx2 = PipelineStats { cycles: *tx2_want, retired: *retired };
+            assert_eq!(ino.stats(), a55, "{label}: in-order A55");
+            assert_eq!(ooo.stats(), tx2, "{label}: OoO TX2");
+        }
     }
 }
